@@ -166,21 +166,6 @@ func inf() float64 { return 1 / zero }
 
 var zero float64
 
-func TestShardSpeedupRatio(t *testing.T) {
-	bf := baselineFile()
-	if _, ok := shardSpeedup(bf); ok {
-		t.Fatal("speedup reported without the shard twins present")
-	}
-	bf.Experiments = append(bf.Experiments,
-		BenchExperiment{ID: "scale_shard1", Events: 1000, EventsPerSec: 2e6},
-		BenchExperiment{ID: "scale_shard", Events: 1000, EventsPerSec: 5e6},
-	)
-	got, ok := shardSpeedup(bf)
-	if !ok || got != 2.5 {
-		t.Fatalf("shardSpeedup = %v, %v; want 2.5, true", got, ok)
-	}
-}
-
 func TestCompareReportsEveryRegressedID(t *testing.T) {
 	old := baselineFile()
 	// Slow down BOTH experiments: the gate must surface both, not stop at

@@ -9,29 +9,14 @@
 // machine's cores are occupied for that long, producing the CPU, memory, and
 // network signals the paper's elasticity rules react to.
 //
-// # Shard safety
+// # Execution model
 //
-// On a sharded kernel (sim.Kernel.SetShards > 1) message dispatch and
-// handler execution run on the hosting machine's shard, concurrently with
-// other shards inside one conservative time window. The runtime keeps that
-// safe by partitioning its state along machine homes:
-//
-//   - per-actor state (mailbox, busy, props, memSize) is owned by the
-//     actor's current home and touched only from that home's context;
-//   - cross-machine effects (sends, replies, forwards) are routed through
-//     the hosting machine's sim.Env, whose cross-home floor is the
-//     kernel's lookahead — below the cluster's minimum network latency,
-//     so message timing is unchanged;
-//   - migration bookkeeping (the inflight table, trace emission, counters)
-//     is global state: shard-context code escalates to the global phase
-//     via Env.Schedule(sim.GlobalHome, ...) instead of mutating it;
-//   - shed counts are striped per shard and summed on read.
-//
-// Control-plane entry points — Spawn/SpawnOn, Stop, Migrate/MigrateTraced,
-// RecoverMachine, Client requests — are global-phase APIs: they may be
-// called from timers and experiment harness code but not from inside a
-// handler running on a sharded kernel (the kernel's context guard panics
-// deterministically on misuse).
+// Everything runs on the kernel's one sequential event loop. Messages are
+// scheduled through the sending machine's sim.Env and CPU completions
+// through the hosting machine's, so same-instant events keep their
+// per-machine slot in the kernel's event order. Migration steps, tracing
+// and counters update runtime state directly from the event that reaches
+// them.
 package actor
 
 import (
@@ -131,11 +116,6 @@ type instance struct {
 	pendingTr  uint64 // trace parent for the pending migration
 	dead       bool
 
-	// beginQueued marks an escalation from the actor's shard to the global
-	// phase already in flight for the pending migration, so pump (which may
-	// run once per delivery) queues at most one.
-	beginQueued bool
-
 	// migEpoch invalidates in-flight migration steps when the actor is
 	// re-homed (crash recovery) or a newer migration supersedes them.
 	migEpoch uint64
@@ -189,12 +169,9 @@ type Runtime struct {
 	// "batch") turns it on; off by default, migrations keep the legacy
 	// contention-free latency model, byte-identical to pinned runs.
 	XferPipeline bool
-	// nicBusy is when each destination's inbound NIC next frees. Written
-	// only from the global phase (migTransfer), like all migration state.
+	// nicBusy is when each destination's inbound NIC next frees.
 	nicBusy map[cluster.MachineID]sim.Time
-	// shed is striped per kernel shard (deliver runs on the receiving
-	// machine's shard); ShedRequests sums the stripes.
-	shed []int64
+	shed    int64 // deliveries dropped at full bounded mailboxes
 
 	tr *trace.Tracer // nil = migration lifecycle untraced
 }
@@ -219,36 +196,17 @@ func NewRuntime(k *sim.Kernel, c *cluster.Cluster) *Runtime {
 		SerializePerMB: 5 * sim.Millisecond,
 		actors:         make(map[ID]*instance),
 		inflight:       make(map[ID]*migration),
-		shed:           make([]int64, k.Shards()),
 	}
 	c.OnFail(rt.onMachineFail)
 	return rt
 }
 
-// envOf returns the scheduling context of the machine hosting srv; all
-// shard-context scheduling in the runtime goes through it.
+// envOf returns the scheduling context of the machine hosting srv; message
+// traffic is scheduled through the sending machine's context.
 func (rt *Runtime) envOf(srv cluster.MachineID) *sim.Env { return rt.C.Machine(srv).Env() }
 
-// spawnGrower is the optional profiler capability the runtime uses to
-// pre-size dense per-actor accumulators at spawn time (the global phase),
-// so profiling hooks never grow shared slices from inside a shard window.
-type spawnGrower interface {
-	OnSpawn(srv cluster.MachineID, a Ref)
-}
-
-// SetProfiler attaches (or detaches, with nil) the profiling hook. A hook
-// implementing spawnGrower is told about every already-live actor so its
-// dense accumulators are sized before any shard window runs.
-func (rt *Runtime) SetProfiler(p ProfilerHook) {
-	rt.profiler = p
-	if g, ok := p.(spawnGrower); ok {
-		for _, id := range rt.order {
-			if inst := rt.actors[id]; inst != nil {
-				g.OnSpawn(inst.srv, Ref{ID: id})
-			}
-		}
-	}
-}
+// SetProfiler attaches (or detaches, with nil) the profiling hook.
+func (rt *Runtime) SetProfiler(p ProfilerHook) { rt.profiler = p }
 
 // SetPlacement attaches (or detaches, with nil) the placement hook.
 func (rt *Runtime) SetPlacement(p PlacementHook) { rt.placement = p }
@@ -370,9 +328,6 @@ func (rt *Runtime) SpawnOn(typ string, b Behavior, srv cluster.MachineID) Ref {
 	}
 	rt.actors[inst.id] = inst
 	rt.order = append(rt.order, inst.id)
-	if g, ok := rt.profiler.(spawnGrower); ok {
-		g.OnSpawn(srv, Ref{ID: inst.id})
-	}
 	return Ref{ID: inst.id}
 }
 
@@ -631,10 +586,8 @@ func (rt *Runtime) MigratingTo(ref Ref) cluster.MachineID {
 }
 
 // send routes a message to an actor, resolving its location at delivery
-// time; messages chase migrated actors with an extra forwarding hop. It
-// runs either in the global phase or on fromSrv's shard; the delivery
-// itself is scheduled onto the destination's shard, which is where the
-// receive side of the network accounting happens too.
+// time; messages chase migrated actors with an extra forwarding hop. The
+// receive side of the network accounting happens at delivery.
 func (rt *Runtime) send(fromSrv cluster.MachineID, msg Message, to Ref) {
 	inst := rt.actors[to.ID]
 	if inst == nil {
@@ -645,7 +598,7 @@ func (rt *Runtime) send(fromSrv cluster.MachineID, msg Message, to Ref) {
 	if fromSrv != dstSrv {
 		rt.C.Machine(fromSrv).AddNetBytes(msg.Size)
 	}
-	rt.envOf(fromSrv).Schedule(int32(dstSrv), lat, func() {
+	rt.envOf(fromSrv).Schedule(lat, func() {
 		if fromSrv != dstSrv {
 			rt.C.Machine(dstSrv).AddNetBytes(msg.Size)
 		}
@@ -662,20 +615,13 @@ func (rt *Runtime) send(fromSrv cluster.MachineID, msg Message, to Ref) {
 	})
 }
 
-// deliver runs on inst's shard (or the global phase on an unsharded
-// kernel); the shed trace record is deferred so the shared tracer is only
-// touched at the window barrier, in deterministic merge order.
+// deliver enqueues msg in inst's mailbox, or sheds it when the bounded
+// mailbox is full.
 func (rt *Runtime) deliver(inst *instance, msg Message) {
 	if rt.MailboxCap > 0 && len(inst.mailbox) >= rt.MailboxCap {
-		srv := inst.srv
-		rt.shed[rt.K.ShardIndexOf(int32(srv))]++
-		if rt.tr != nil {
-			id, method := inst.id, msg.Method
-			rt.envOf(srv).Defer(func() {
-				rt.tr.Emit(trace.Record{Kind: trace.KindShed, Server: int32(srv), Target: -1,
-					Actor: uint64(id), Rule: -1, Value: float64(rt.MailboxCap), Detail: method})
-			})
-		}
+		rt.shed++
+		rt.tr.Emit(trace.Record{Kind: trace.KindShed, Server: int32(inst.srv), Target: -1,
+			Actor: uint64(inst.id), Rule: -1, Value: float64(rt.MailboxCap), Detail: msg.Method})
 		return
 	}
 	inst.mailbox = append(inst.mailbox, delivery{msg: msg})
@@ -683,18 +629,12 @@ func (rt *Runtime) deliver(inst *instance, msg Message) {
 }
 
 // ShedRequests reports deliveries dropped at full bounded mailboxes.
-func (rt *Runtime) ShedRequests() int64 {
-	var n int64
-	for _, s := range rt.shed {
-		n += s
-	}
-	return n
-}
+func (rt *Runtime) ShedRequests() int64 { return rt.shed }
 
 // pump dispatches the next mailbox message if the actor is free and its
 // machine is in service (a crashed machine processes nothing; queued mail
-// drains after recovery). pump runs on the actor's shard (from deliveries
-// and Exec completions) as well as in the global phase.
+// drains after recovery). A migration requested while the actor was busy
+// begins here, before any further mail is dispatched.
 func (rt *Runtime) pump(inst *instance) {
 	if inst.busy || inst.migrating || inst.dead {
 		return
@@ -703,24 +643,7 @@ func (rt *Runtime) pump(inst *instance) {
 		return
 	}
 	if inst.pendingDst >= 0 {
-		// Migration bookkeeping (inflight table, tracer, counters) is
-		// global state, but pump may be running on the actor's shard:
-		// escalate to the global phase instead of starting it here. The
-		// actor stays parked (pump dispatches nothing while a move is
-		// pending), so at most one escalation is ever queued.
-		if !inst.beginQueued {
-			inst.beginQueued = true
-			rt.envOf(inst.srv).Schedule(sim.GlobalHome, 0, func() {
-				inst.beginQueued = false
-				if inst.pendingDst >= 0 && !inst.busy && !inst.migrating {
-					rt.beginMigration(inst)
-					return
-				}
-				// The request was withdrawn while the escalation was in
-				// flight (destination died, actor stopped): resume mail.
-				rt.pump(inst)
-			})
-		}
+		rt.beginMigration(inst)
 		return
 	}
 	if len(inst.mailbox) == 0 {
@@ -788,19 +711,17 @@ func (rt *Runtime) MigrateTraced(ref Ref, dst cluster.MachineID, parent uint64, 
 	}
 }
 
-// beginMigration starts a pending migration. It runs only in the global
-// phase (directly from MigrateTraced, or via pump's escalation event).
+// beginMigration starts a pending migration, directly from MigrateTraced
+// when the actor is idle or from pump once its current message completes.
 //
 // Serialize on the source, transfer, deserialize on the destination, then
 // resume message processing there. Every asynchronous step revalidates the
 // migration: a crash of either endpoint (or a Stop, or a crash-recovery
 // re-home) aborts it via the epoch guard, and the actor either resumes on
 // its source with its buffered mail intact or awaits RecoverMachine —
-// never a permanently stuck `migrating` flag. The serialize/deserialize
-// Execs occupy the machines on their own shards; their completions
-// escalate back to the global phase (floored to the kernel lookahead on a
-// sharded kernel) because every inter-step decision reads and writes
-// global migration state.
+// never a permanently stuck `migrating` flag. The serialize and
+// deserialize Execs occupy the source and destination cores; each
+// completion runs the next step in the same event.
 func (rt *Runtime) beginMigration(inst *instance) {
 	dst := inst.pendingDst
 	onDone := inst.pendingFn
@@ -826,13 +747,11 @@ func (rt *Runtime) beginMigration(inst *instance) {
 	stateMB := float64(inst.memSize) / (1 << 20)
 	serCost := sim.Duration(stateMB * float64(rt.SerializePerMB))
 
-	rt.C.Machine(src).Exec(serCost, func() {
-		rt.envOf(src).Schedule(sim.GlobalHome, 0, func() { rt.migTransfer(mig, serCost) })
-	})
+	rt.C.Machine(src).Exec(serCost, func() { rt.migTransfer(mig, serCost) })
 }
 
 // migTransfer is the post-serialize step: charge the state transfer to
-// both NICs and schedule the arrival. Global phase.
+// both NICs and schedule the arrival.
 //
 // With XferPipeline set, the transfer first waits for earlier state
 // streams into the same destination NIC to drain: the wire time itself is
@@ -875,14 +794,12 @@ func (rt *Runtime) migTransfer(mig *migration, serCost sim.Duration) {
 			rt.abortMigration(mig, true, "dst-down")
 			return
 		}
-		rt.C.Machine(dst).Exec(serCost, func() {
-			rt.envOf(dst).Schedule(sim.GlobalHome, 0, func() { rt.migCommit(mig) })
-		})
+		rt.C.Machine(dst).Exec(serCost, func() { rt.migCommit(mig) })
 	})
 }
 
 // migCommit is the post-deserialize step: re-home the actor and resume it
-// on the destination. Global phase.
+// on the destination.
 func (rt *Runtime) migCommit(mig *migration) {
 	if !rt.migValid(mig) {
 		return
@@ -928,9 +845,8 @@ type Context struct {
 // Self returns the receiving actor's ref.
 func (c *Context) Self() Ref { return Ref{ID: c.inst.id} }
 
-// Now returns the current virtual time, read from the hosting machine's
-// scheduling context (handlers run on the machine's shard).
-func (c *Context) Now() sim.Time { return c.rt.envOf(c.inst.srv).Now() }
+// Now returns the current virtual time.
+func (c *Context) Now() sim.Time { return c.rt.K.Now() }
 
 // Runtime exposes the hosting runtime (for spawning from handlers).
 func (c *Context) Runtime() *Runtime { return c.rt }
@@ -956,9 +872,9 @@ func (c *Context) Send(to Ref, method string, arg interface{}, size int64) {
 func (c *Context) SendAfter(d sim.Duration, to Ref, method string, arg interface{}, size int64) {
 	out := Message{Method: method, Arg: arg, Size: size, Sender: c.Self(), SenderType: c.inst.typ}
 	c.effects = append(c.effects, func(srv cluster.MachineID) {
-		// The delay elapses on the sending machine (same-home, so no
-		// lookahead floor applies), then the send routes normally.
-		c.rt.envOf(srv).Schedule(int32(srv), d, func() { c.rt.send(srv, out, to) })
+		// The delay elapses on the sending machine, then the send routes
+		// normally.
+		c.rt.envOf(srv).Schedule(d, func() { c.rt.send(srv, out, to) })
 	})
 }
 
@@ -982,7 +898,7 @@ func (c *Context) Reply(arg interface{}, size int64) {
 		if srv != rp.originSrv {
 			c.rt.C.Machine(srv).AddNetBytes(size)
 		}
-		c.rt.envOf(srv).Schedule(int32(rp.originSrv), lat, func() {
+		c.rt.envOf(srv).Schedule(lat, func() {
 			if srv != rp.originSrv {
 				c.rt.C.Machine(rp.originSrv).AddNetBytes(size)
 			}
@@ -1035,9 +951,7 @@ func NewClient(rt *Runtime, site cluster.MachineID) *Client {
 }
 
 // Request sends a message and invokes done with the end-to-end latency when
-// the (possibly multi-hop) reply arrives. Request itself is a global-phase
-// API; on a sharded kernel the done callback runs on the client site's
-// shard, so it must only touch state owned by that site.
+// the (possibly multi-hop) reply arrives.
 func (cl *Client) Request(to Ref, method string, arg interface{}, size int64, done func(lat sim.Duration, reply interface{})) {
 	start := cl.rt.K.Now()
 	msg := Message{
@@ -1046,7 +960,7 @@ func (cl *Client) Request(to Ref, method string, arg interface{}, size int64, do
 			originSrv: cl.Site,
 			deliver: func(replyArg interface{}, _ int64) {
 				if done != nil {
-					done(sim.Duration(cl.rt.envOf(cl.Site).Now()-start), replyArg)
+					done(sim.Duration(cl.rt.K.Now()-start), replyArg)
 				}
 			},
 		},

@@ -57,12 +57,12 @@ type Machine struct {
 	Type InstanceType
 
 	k        *sim.Kernel
-	env      *sim.Env // scheduling context for this machine's home (shard-safe)
+	env      *sim.Env // scheduling context for this machine's home
 	up       bool
 	failed   bool
 	decommed bool // permanently removed; Repair must not resurrect it
 
-	bootPending bool                  // provisioned, boot delay still running
+	bootPending bool                 // provisioned, boot delay still running
 	bootDone    func(*Machine, bool) // pending provision-outcome callback
 	provClass   ProvClass            // class this machine was provisioned through
 
@@ -77,8 +77,8 @@ type Machine struct {
 }
 
 // Env returns the machine's scheduling context: events homed at this
-// machine (message deliveries, CPU completions) are scheduled through it
-// so a sharded kernel can run them on the machine's shard.
+// machine (message deliveries, CPU completions) are scheduled through it,
+// which keys them in the machine's slot of the kernel's same-instant order.
 func (m *Machine) Env() *sim.Env { return m.env }
 
 // Up reports whether the machine has finished booting and is usable.
@@ -137,11 +137,9 @@ func (m *Machine) allocWork() *work {
 }
 
 func (m *Machine) start(w *work) {
-	w.start = m.env.Now()
+	w.start = m.k.Now()
 	m.active = append(m.active, w)
-	// Completion stays homed at this machine, so queued work chains and
-	// window accounting run on the machine's own shard.
-	m.env.Schedule(int32(m.ID), w.cost, w.fire)
+	m.env.Schedule(w.cost, w.fire)
 }
 
 func (m *Machine) complete(w *work) {
@@ -157,7 +155,7 @@ func (m *Machine) complete(w *work) {
 			break
 		}
 	}
-	m.busyWindow += sim.Duration(m.env.Now() - w.start)
+	m.busyWindow += sim.Duration(m.k.Now() - w.start)
 	if len(m.queue) > 0 {
 		next := m.queue[0]
 		m.queue = m.queue[1:]
@@ -198,7 +196,7 @@ func (m *Machine) MemUsed() int64 { return m.memUsed }
 // CPUPercent reports core utilization (0-100) since the window started,
 // including partially complete in-flight work.
 func (m *Machine) CPUPercent() float64 {
-	elapsed := m.env.Now() - m.windowStart
+	elapsed := m.k.Now() - m.windowStart
 	if elapsed <= 0 {
 		return 0
 	}
@@ -208,14 +206,14 @@ func (m *Machine) CPUPercent() float64 {
 		if s < m.windowStart {
 			s = m.windowStart
 		}
-		busy += sim.Duration(m.env.Now() - s)
+		busy += sim.Duration(m.k.Now() - s)
 	}
 	return float64(busy) / (float64(elapsed) * float64(m.Type.VCPUs)) * 100
 }
 
 // NetPercent reports NIC utilization (0-100) since the window started.
 func (m *Machine) NetPercent() float64 {
-	elapsedSec := (m.env.Now() - m.windowStart).Seconds()
+	elapsedSec := (m.k.Now() - m.windowStart).Seconds()
 	if elapsedSec <= 0 {
 		return 0
 	}
@@ -231,7 +229,7 @@ func (m *Machine) MemPercent() float64 {
 // ResetWindow starts a fresh accounting window at the current instant.
 // In-flight work is credited up to now and continues into the new window.
 func (m *Machine) ResetWindow() {
-	now := m.env.Now()
+	now := m.k.Now()
 	for _, w := range m.active {
 		// In-flight time up to now belongs to the closed window; the work
 		// restarts its accounting in the new one.

@@ -19,15 +19,9 @@ import (
 
 // scaleCycle is the synthetic workers' self-message period; scalePeriod the
 // elasticity period (short so a quick run still spans several decisions).
-// scaleLookahead is the conservative-window bound for sharded runs: half
-// the cluster's minimum cross-machine latency (cluster.New's 0.5 ms base),
-// so the cross-home scheduling floor never delays a real message. It is
-// set at every shard count — including the sequential reference — so the
-// event timeline is identical no matter how many shards execute it.
 const (
-	scaleCycle     = 500 * sim.Millisecond
-	scalePeriod    = sim.Second
-	scaleLookahead = 250 * sim.Microsecond
+	scaleCycle  = 500 * sim.Millisecond
+	scalePeriod = sim.Second
 )
 
 // scalePolicy is a plain CPU band: hot servers shed Workers, idle spares
@@ -46,7 +40,7 @@ type scaleTrial struct {
 // so their servers breach the upper band. Every Worker self-messages once
 // per cycle with its start staggered across the cycle, so load is spread
 // and the event queue never sees the whole fleet at one instant.
-func scaleFleet(k *sim.Kernel, size, gems, shards int, cfg Config) scaleTrial {
+func scaleFleet(k *sim.Kernel, size, gems int, cfg Config) scaleTrial {
 	servers := size / 128
 	if servers < 8 {
 		servers = 8
@@ -57,12 +51,6 @@ func scaleFleet(k *sim.Kernel, size, gems, shards int, cfg Config) scaleTrial {
 	}
 	used := servers - spares
 	hot := spares
-
-	// Shard configuration must precede cluster.New (machines create their
-	// scheduling Envs there). The lookahead is set unconditionally so the
-	// sequential reference and every sharded run share one event timeline.
-	k.SetShards(shards)
-	k.SetLookahead(scaleLookahead)
 
 	c := cluster.New(k, servers, cluster.M1Small)
 	rt := actor.NewRuntime(k, c)
@@ -128,7 +116,7 @@ func Scale(cfg Config) *Result {
 				seeds = 1 // one resident million-actor kernel at a time
 			}
 			trials := runSeeds(cfg, seeds, func(idx int, seed int64) scaleTrial {
-				return scaleFleet(cfg.kernelSeeded(seed), size, gems, cfg.shards(), cfg)
+				return scaleFleet(cfg.kernelSeeded(seed), size, gems, cfg)
 			})
 			var mig, den, spare float64
 			for _, t := range trials {
@@ -212,36 +200,3 @@ func ScaleSnap(cfg Config) *Result {
 	r.notef("per-period cost is dominated by building %d ActorInfos; the pooled arena makes that allocation-free after warmup", actorsSeen)
 	return r
 }
-
-// scaleShardTwin runs one fixed scale-family fleet at the given shard
-// count. The two registered twins (scale_shard at 4 shards, scale_shard1
-// on the sequential reference kernel) must render byte-identically — the
-// pair is both the end-to-end equivalence check and the speedup benchmark
-// (events/sec ratio between the twins = intra-run parallel speedup).
-func scaleShardTwin(cfg Config, id string, shards int) *Result {
-	r := newResult(id, "sharded-kernel scale twin (byte-identical across shard counts)")
-	r.Header = []string{"Actors", "GEMs", "Shards seen as", "Migrations", "Denied", "Spares filled"}
-
-	size := 4000
-	if cfg.Full {
-		size = 100_000
-	}
-	const gems = 2
-	t := scaleFleet(cfg.kernelSeeded(cfg.seed()), size, gems, shards, cfg)
-	// The shard count is deliberately absent from rows and summaries: the
-	// twins' rendered reports must match byte for byte.
-	r.addRow(fmt.Sprintf("%d", size), fmt.Sprintf("%d", gems), "n/a (identical by construction)",
-		fmt.Sprintf("%d", t.stats.ExecutedMigrations), fmt.Sprintf("%d", t.stats.DeniedAdmissions),
-		fmt.Sprintf("%d", t.spareFilled))
-	r.Summary["migrations"] = float64(t.stats.ExecutedMigrations)
-	r.Summary["denied"] = float64(t.stats.DeniedAdmissions)
-	r.Summary["spare_filled"] = float64(t.spareFilled)
-	r.notef("kernel sharding is a wall-clock optimization only; diff this report against its twin to verify")
-	return r
-}
-
-// ScaleShard is the scale twin on a 4-shard kernel.
-func ScaleShard(cfg Config) *Result { return scaleShardTwin(cfg, "scale_shard", 4) }
-
-// ScaleShard1 is the scale twin on the sequential reference kernel.
-func ScaleShard1(cfg Config) *Result { return scaleShardTwin(cfg, "scale_shard1", 1) }

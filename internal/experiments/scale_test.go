@@ -37,7 +37,7 @@ func TestScale100kSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-actor smoke test skipped in -short mode")
 	}
-	tr := scaleFleet(sim.New(1), 100_000, 2, 1, Config{})
+	tr := scaleFleet(sim.New(1), 100_000, 2, Config{})
 	if tr.stats.ExecutedMigrations == 0 {
 		t.Fatal("100k-actor fleet executed no migrations")
 	}

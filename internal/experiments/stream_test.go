@@ -140,8 +140,7 @@ func TestStreamChaosRecoversThroughGEMCrash(t *testing.T) {
 }
 
 // Fixed seed, fixed scenario: the rendered stream results must be
-// byte-identical across repeats (the shard-equivalence suite covers
-// shards=1 vs N for every registered id, streams included).
+// byte-identical across repeats.
 func TestStreamDeterministicSameSeed(t *testing.T) {
 	for id, fn := range map[string]func(Config) *Result{
 		"stream_skew": StreamSkew, "stream_chaos": StreamChaos,

@@ -84,19 +84,13 @@ type Profiler struct {
 	windowStart sim.Time
 
 	// Dense per-actor window accumulators, indexed by actor id. The three
-	// slices are grown in lockstep; Reset clears them in place. On a
-	// sharded kernel the hooks run on the hosting machine's shard, which
-	// is safe because each element is written only by the shard owning
-	// that actor's machine and the slices are pre-grown at spawn time (the
-	// global phase) via OnSpawn, so the headers never move mid-window.
+	// slices are grown in lockstep; Reset clears them in place.
 	actorCPU []sim.Duration
 	actorNet []int64
 	calls    []calleeCalls
 
-	// callRecs and messages are striped per kernel shard (OnMessage runs
-	// on the callee's shard) and summed on read.
-	callRecs []int   // total CallStat records across all callees this window
-	messages []int64 // total messages observed (all time), for overhead tests
+	callRecs int   // total CallStat records across all callees this window
+	messages int64 // total messages observed (all time), for overhead tests
 
 	arenas [2]arena
 	cur    int
@@ -109,18 +103,10 @@ type Profiler struct {
 
 // New creates a profiler and attaches it to the runtime.
 func New(k *sim.Kernel, c *cluster.Cluster, rt *actor.Runtime) *Profiler {
-	p := &Profiler{k: k, c: c, rt: rt,
-		callRecs: make([]int, k.Shards()),
-		messages: make([]int64, k.Shards()),
-	}
+	p := &Profiler{k: k, c: c, rt: rt}
 	rt.SetProfiler(p)
 	return p
 }
-
-// OnSpawn pre-grows the dense accumulators for a newly spawned actor. The
-// runtime calls it at spawn time — always the global phase — so the hot
-// per-message hooks never reallocate the shared slices from shard context.
-func (p *Profiler) OnSpawn(srv cluster.MachineID, a actor.Ref) { p.ensure(a.ID) }
 
 // NoReuse switches the profiler to naive fresh-allocation snapshots: every
 // Snapshot call builds into a brand-new arena instead of the pooled
@@ -160,7 +146,7 @@ func (p *Profiler) OnMessage(srv cluster.MachineID, callerType string, caller ac
 		} else {
 			cc.idx[key] = len(cc.recs)
 			cc.recs = append(cc.recs, epl.CallStat{CallerType: callerType, Caller: caller, Method: method, Count: 1, Bytes: size})
-			p.callRecs[p.k.ShardIndexOf(int32(srv))]++
+			p.callRecs++
 		}
 	} else {
 		hit := false
@@ -175,14 +161,14 @@ func (p *Profiler) OnMessage(srv cluster.MachineID, callerType string, caller ac
 		}
 		if !hit {
 			cc.recs = append(cc.recs, epl.CallStat{CallerType: callerType, Caller: caller, Method: method, Count: 1, Bytes: size})
-			p.callRecs[p.k.ShardIndexOf(int32(srv))]++
+			p.callRecs++
 			if len(cc.recs) > promoteAt {
 				cc.buildIdx()
 			}
 		}
 	}
 	p.actorNet[callee.ID] += size
-	p.messages[p.k.ShardIndexOf(int32(srv))]++
+	p.messages++
 }
 
 // OnCPU implements actor.ProfilerHook.
@@ -198,22 +184,7 @@ func (p *Profiler) OnNet(srv cluster.MachineID, a actor.Ref, typ string, size in
 }
 
 // Messages reports the total number of profiled messages.
-func (p *Profiler) Messages() int64 {
-	var n int64
-	for _, m := range p.messages {
-		n += m
-	}
-	return n
-}
-
-// windowCallRecs sums the per-shard CallStat record counts.
-func (p *Profiler) windowCallRecs() int {
-	n := 0
-	for _, c := range p.callRecs {
-		n += c
-	}
-	return n
-}
+func (p *Profiler) Messages() int64 { return p.messages }
 
 // Window reports the current window's span so far.
 func (p *Profiler) Window() sim.Duration { return sim.Duration(p.k.Now() - p.windowStart) }
@@ -233,7 +204,7 @@ func (p *Profiler) Reset() {
 			clear(cc.idx)
 		}
 	}
-	clear(p.callRecs)
+	p.callRecs = 0
 	for _, m := range p.c.Machines() {
 		m.ResetWindow()
 	}
@@ -302,9 +273,8 @@ func (p *Profiler) Snapshot(scope []cluster.MachineID) *epl.Snapshot {
 		snap.Actors = make([]*epl.ActorInfo, 0, n+n/4+16)
 	}
 	snap.Actors = snap.Actors[:0]
-	callRecs := p.windowCallRecs()
-	if cap(a.callBuf) < callRecs {
-		a.callBuf = make([]epl.CallStat, 0, callRecs+callRecs/4+16)
+	if cap(a.callBuf) < p.callRecs {
+		a.callBuf = make([]epl.CallStat, 0, p.callRecs+p.callRecs/4+16)
 	}
 	a.callBuf = a.callBuf[:0]
 

@@ -1,7 +1,7 @@
 package sim
 
 // This file implements the kernel's event queue: a value-typed 4-ary
-// min-heap ordered by (at, seq). Events are stored inline in the heap
+// min-heap ordered by the (at, depth, home, cnt) key. Events are stored inline in the heap
 // slice, so scheduling allocates nothing beyond amortized slice growth —
 // the previous implementation boxed one *event per schedule through
 // container/heap's interface{} API, which made the allocator the hot
@@ -20,17 +20,11 @@ package sim
 // event is one scheduled callback. Timer events leave fn nil and carry
 // the owning slot id in tid; the slot holds the callback so it survives
 // the fire and can be re-armed by Reset.
-//
-// home and cnt form the order key together with at (see before); dst is
-// pure routing — the home whose shard executes the event, or GlobalHome
-// for coordinator events. Events scheduled through the kernel's plain
-// After/At/AfterFunc APIs are global on both axes.
 type event struct {
 	at    Time
 	depth int32 // same-instant causal depth: parent's depth + 1 when at == parent's at
-	home  int32 // scheduling home that stamped cnt (order key), GlobalHome for kernel APIs
+	home  int32 // scheduling home that stamped cnt, GlobalHome for kernel APIs
 	cnt   uint64
-	dst   int32 // executing home (routing), GlobalHome for coordinator events
 	tid   int32 // owning timer slot, or noTimer
 	fn    func()
 }
@@ -41,8 +35,7 @@ const noTimer = int32(-1)
 // ordering contract: fire time, then same-instant causal depth, then
 // scheduling home (global events first, then homes in ascending id
 // order), then per-home scheduling order. The (home, cnt) pair is unique
-// per kernel — each home's counter is bumped only by code executing for
-// that home — so ties cannot exist and any correct heap pops events in
+// per kernel, so ties cannot exist and any correct heap pops events in
 // exactly one order.
 //
 // depth makes the order causal: an event scheduled at its parent's
@@ -52,14 +45,7 @@ const noTimer = int32(-1)
 // nothing — among same-instant events, scheduling order (the old global
 // seq tiebreak) already agrees with (depth, cnt) order, because a deeper
 // event can only be scheduled after its shallower producer ran — so the
-// sequential kernel's semantics are unchanged.
-//
-// The key as a whole is what makes the sharded kernel byte-identical to
-// the sequential one: it is computed from per-home scheduling history
-// only — never from wall-clock execution order — so the key multiset
-// (and therefore every heap's pop order) is independent of the shard
-// count, and deferred side effects can be merged at window barriers in
-// exactly the order a sequential run produces them inline.
+// kernel's semantics are unchanged.
 func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at

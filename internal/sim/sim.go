@@ -1,11 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// All of PLASMA's experiments run on virtual time. Every event carries an
-// order key (at, depth, home, cnt) — firing time, same-instant causal
-// depth, scheduling home, per-home scheduling counter — so two events
-// scheduled for the same instant fire in a single well-defined order and
-// every run is reproducible bit-for-bit from a single seed. The
-// same-instant contract is:
+// All of PLASMA's experiments run on virtual time. One sequential event
+// loop fires events in the order of a total key (at, depth, home, cnt) —
+// firing time, same-instant causal depth, scheduling home, per-home
+// scheduling counter — so two events scheduled for the same instant fire
+// in a single well-defined order and every run is reproducible
+// bit-for-bit from a single seed. The same-instant contract is:
 //
 //   - an event scheduled at its parent's instant (from inside an event
 //     callback, for the same virtual time) fires after every event of
@@ -19,13 +19,10 @@
 //     current instant moves it after previously queued same-instant
 //     events, exactly as if it had been stopped and re-scheduled.
 //
-// The key is independent of wall-clock execution order, which is what
-// lets the sharded kernel (see shard.go) run machine-homed events on
-// several goroutines inside a conservative lookahead window and still
-// produce byte-identical runs: each home's counter is bumped only by that
-// home's own execution (or by single-threaded global-phase code), so the
-// key multiset — and therefore every heap's pop order — is the same at
-// any shard count.
+// A home is one cluster machine; its Env stamps events from the home's
+// own counter. The per-home counters are part of the pinned event order:
+// stamping homed events from the single global counter instead reorders
+// same-instant events across machines and moves experiment summaries.
 //
 // The event queue is a value-typed 4-ary indexed heap (see queue.go):
 // scheduling an event is an inline slice append, not a boxed allocation,
@@ -79,36 +76,17 @@ func (d Duration) String() string {
 
 // Kernel is a discrete-event simulator. The zero value is not usable; create
 // one with New.
-//
-// A kernel is sequential by default. SetShards(n) with n > 1 partitions
-// homed events (Env.Schedule) across n shards that drain concurrently
-// inside conservative time windows; see shard.go. All Kernel methods are
-// global-phase APIs: calling them from inside a shard worker (an event
-// delivered to a home while a window is open) panics, which makes any
-// unsafe use fail deterministically instead of racing.
 type Kernel struct {
 	now Time
-	q   eventQueue // global-destination events; all events when sequential
+	q   eventQueue
 	rng *rand.Rand
 
 	// homeCnt[h+1] is the scheduling counter for home h; homeCnt[0] is
-	// the global counter (home = GlobalHome). During a window each
-	// element is bumped only by its owner shard, so no two goroutines
-	// touch the same element. The slice itself grows only in Env, which
-	// is a global-phase API.
+	// the global counter (home = GlobalHome).
 	homeCnt []uint64
 
-	nshards   int // 0 or 1 = sequential
-	lookahead Duration
-	shards    []*kshard
-	envs      []*Env
-	active    []*kshard  // scratch: shards participating in the open window
-	defBuf    []deferred // scratch: merged deferred side effects
-	inWindow  bool
-
-	// Executing-event context for same-instant depth stamping: while a
-	// global-queue event (or a replayed deferred record) runs, children
-	// scheduled at the same instant get curDepth + 1.
+	// Executing-event context for same-instant depth stamping: while an
+	// event runs, children scheduled at the same instant get curDepth + 1.
 	executing bool
 	curAt     Time
 	curDepth  int32
@@ -116,22 +94,20 @@ type Kernel struct {
 	// Stopped is set by Stop; Run returns once it is observed.
 	stopped bool
 
-	fired uint64 // events fired since creation (shard counts folded in at barriers)
-	peak  int    // maximum global-queue depth observed
+	fired uint64 // events fired since creation
+	peak  int    // maximum queue depth observed
 }
+
+// GlobalHome is the pseudo-home of events scheduled through the kernel's
+// own After/At/AfterFunc APIs. It sorts before every real home at the
+// same instant.
+const GlobalHome = int32(-1)
 
 // New returns a kernel whose random stream is derived from seed.
 func New(seed int64) *Kernel {
 	return &Kernel{
 		rng:     rand.New(rand.NewSource(seed)),
 		homeCnt: make([]uint64, 1),
-	}
-}
-
-// guard panics when a global-phase API is entered from a shard worker.
-func (k *Kernel) guard(op string) {
-	if k.inWindow {
-		panic("sim: Kernel." + op + " called from a shard worker; use the Env API (or Env.Defer) from homed events")
 	}
 }
 
@@ -146,18 +122,10 @@ func (k *Kernel) childDepth(at Time) int32 {
 }
 
 // Now returns the current virtual time.
-func (k *Kernel) Now() Time {
-	k.guard("Now")
-	return k.now
-}
+func (k *Kernel) Now() Time { return k.now }
 
-// Rand exposes the kernel's deterministic random stream. The stream is a
-// global-phase resource: drawing from it inside a shard worker would make
-// the draw order depend on goroutine interleaving, so that panics.
-func (k *Kernel) Rand() *rand.Rand {
-	k.guard("Rand")
-	return k.rng
-}
+// Rand exposes the kernel's deterministic random stream.
+func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // After schedules fn to run d from now. Negative delays fire immediately.
 func (k *Kernel) After(d Duration, fn func()) {
@@ -168,15 +136,18 @@ func (k *Kernel) After(d Duration, fn func()) {
 }
 
 // At schedules fn at absolute virtual time t (clamped to now). The event
-// is global: it fires before any same-instant homed event and always runs
-// single-threaded, between windows when the kernel is sharded.
+// is global: it fires before any same-instant homed event of equal depth.
 func (k *Kernel) At(t Time, fn func()) {
-	k.guard("At")
 	if t < k.now {
 		t = k.now
 	}
-	k.homeCnt[0]++
-	k.q.push(event{at: t, depth: k.childDepth(t), home: GlobalHome, cnt: k.homeCnt[0], dst: GlobalHome, tid: noTimer, fn: fn})
+	k.push(t, GlobalHome, noTimer, fn)
+}
+
+// push queues one event stamped from home's scheduling counter.
+func (k *Kernel) push(at Time, home, tid int32, fn func()) {
+	k.homeCnt[home+1]++
+	k.q.push(event{at: at, depth: k.childDepth(at), home: home, cnt: k.homeCnt[home+1], tid: tid, fn: fn})
 	if n := k.q.len(); n > k.peak {
 		k.peak = n
 	}
@@ -187,10 +158,7 @@ func (k *Kernel) At(t Time, fn func()) {
 // life: Reset re-queues the same slot and Stop cancels it. A timer that
 // fires without being re-armed by Reset — from inside its own callback —
 // releases its slot automatically; after that, Stop and Reset on the stale
-// handle are no-ops returning false.
-//
-// Timers are global events; like all global-phase APIs they must not be
-// touched from a shard worker.
+// handle are no-ops returning false. Timers are global events.
 type Timer struct {
 	k   *Kernel
 	id  int32
@@ -202,7 +170,6 @@ type Timer struct {
 // from inside fn schedule each subsequent fire without any allocation,
 // which is how Every and the cluster/EMR tick loops run.
 func (k *Kernel) AfterFunc(d Duration, fn func()) *Timer {
-	k.guard("AfterFunc")
 	if d < 0 {
 		d = 0
 	}
@@ -216,11 +183,7 @@ func (k *Kernel) scheduleTimer(id int32, at Time) {
 	if at < k.now {
 		at = k.now
 	}
-	k.homeCnt[0]++
-	k.q.push(event{at: at, depth: k.childDepth(at), home: GlobalHome, cnt: k.homeCnt[0], dst: GlobalHome, tid: id})
-	if n := k.q.len(); n > k.peak {
-		k.peak = n
-	}
+	k.push(at, GlobalHome, id, nil)
 }
 
 func (t *Timer) live() bool {
@@ -234,7 +197,6 @@ func (t *Timer) Stop() bool {
 	if !t.live() {
 		return false
 	}
-	t.k.guard("Timer.Stop")
 	s := &t.k.q.slots[t.id]
 	pending := s.pos != noTimer
 	if pending {
@@ -253,14 +215,12 @@ func (t *Timer) Stop() bool {
 // Reset is a fresh scheduling with respect to same-instant ordering: the
 // moved event takes a fresh counter value, so a Reset to the current
 // instant fires after events that were already queued for that instant —
-// exactly as if the timer had been stopped and scheduled anew. This is
-// the contract the sharded kernel's merge order reproduces, and the
+// exactly as if the timer had been stopped and scheduled anew; the
 // differential tests in sim_test.go pin it.
 func (t *Timer) Reset(d Duration) bool {
 	if !t.live() {
 		return false
 	}
-	t.k.guard("Timer.Reset")
 	if d < 0 {
 		d = 0
 	}
@@ -299,14 +259,8 @@ func (k *Kernel) Every(d Duration, fn func() bool) {
 }
 
 // Step fires the next pending event, advancing the clock. It reports whether
-// an event was fired. Step is a sequential-kernel API: a sharded kernel
-// advances only in whole conservative windows (Run/RunUntilIdle), so Step
-// panics when shards > 1.
+// an event was fired.
 func (k *Kernel) Step() bool {
-	k.guard("Step")
-	if k.nshards > 1 {
-		panic("sim: Step is only available on a sequential kernel (shards <= 1)")
-	}
 	if k.q.len() == 0 || k.stopped {
 		return false
 	}
@@ -346,16 +300,11 @@ func (k *Kernel) fireTimer(id int32) {
 	}
 }
 
-// Run fires events until the queues drain, the clock passes until, or Stop
+// Run fires events until the queue drains, the clock passes until, or Stop
 // is called. The clock does not advance beyond the last fired event; in
 // particular a run halted by Stop leaves the clock at the event that
 // stopped it rather than jumping ahead to the deadline.
 func (k *Kernel) Run(until Time) {
-	k.guard("Run")
-	if k.nshards > 1 {
-		k.runSharded(until, true)
-		return
-	}
 	for k.q.len() > 0 && !k.stopped {
 		if k.q.heap[0].at > until {
 			k.now = until
@@ -370,51 +319,53 @@ func (k *Kernel) Run(until Time) {
 
 // RunUntilIdle fires all pending events (including ones they schedule).
 func (k *Kernel) RunUntilIdle() {
-	k.guard("RunUntilIdle")
-	if k.nshards > 1 {
-		k.runSharded(0, false)
-		return
-	}
 	for k.Step() {
 	}
 }
 
-// Stop halts Run/RunUntilIdle after the current event (or, on a sharded
-// kernel, after the current global event or window).
-func (k *Kernel) Stop() {
-	k.guard("Stop")
-	k.stopped = true
-}
+// Stop halts Run/RunUntilIdle after the current event.
+func (k *Kernel) Stop() { k.stopped = true }
 
 // Stopped reports whether Stop has been called.
 func (k *Kernel) Stopped() bool { return k.stopped }
 
-// Pending reports the number of queued events across all queues.
-func (k *Kernel) Pending() int {
-	n := k.q.len()
-	for _, s := range k.shards {
-		n += s.q.len()
-	}
-	return n
-}
+// Pending reports the number of queued events.
+func (k *Kernel) Pending() int { return k.q.len() }
 
 // Stats summarizes the kernel's lifetime effort, used by the benchmark
 // harness to report event throughput and queue pressure per experiment.
 type Stats struct {
 	Fired     uint64 // events fired since creation
-	PeakQueue int    // maximum per-queue depth ever observed
+	PeakQueue int    // maximum queue depth ever observed
 }
 
-// Stats returns the kernel's counters. Fired is exact and shard-count
-// independent; PeakQueue is the maximum depth any single queue reached,
-// so on a sharded kernel (where events spread across per-shard heaps) it
-// is a per-queue pressure figure, not a global backlog count.
-func (k *Kernel) Stats() Stats {
-	st := Stats{Fired: k.fired, PeakQueue: k.peak}
-	for _, s := range k.shards {
-		if s.peak > st.PeakQueue {
-			st.PeakQueue = s.peak
-		}
+// Stats returns the kernel's counters.
+func (k *Kernel) Stats() Stats { return Stats{Fired: k.fired, PeakQueue: k.peak} }
+
+// Env is a scheduling context bound to one home (a cluster machine).
+// Events it schedules are stamped from the home's own counter, which
+// places them in the home's slot of the same-instant order.
+type Env struct {
+	k    *Kernel
+	home int32
+}
+
+// Env returns the scheduling context for home (>= 0).
+func (k *Kernel) Env(home int32) *Env {
+	if home < 0 {
+		panic("sim: Env home must be >= 0")
 	}
-	return st
+	for int(home)+1 >= len(k.homeCnt) {
+		k.homeCnt = append(k.homeCnt, 0)
+	}
+	return &Env{k: k, home: home}
+}
+
+// Schedule queues fn to run d from now (negative delays fire
+// immediately), keyed as an event of this Env's home.
+func (e *Env) Schedule(d Duration, fn func()) {
+	if d < 0 {
+		d = 0
+	}
+	e.k.push(e.k.now+Time(d), e.home, noTimer, fn)
 }

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -360,5 +363,108 @@ func TestPropertyAllEventsFire(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSameInstantContract pins the (at, depth, home, cnt) contract end to
+// end: at one instant, global events fire first in scheduling order, then
+// homes in ascending id order, each home in its own scheduling order.
+func TestSameInstantContract(t *testing.T) {
+	k := New(7)
+	e2 := k.Env(2)
+	e0 := k.Env(0)
+	var log []string
+	mark := func(tag string) func() {
+		return func() { log = append(log, tag) }
+	}
+	const at = Time(100)
+	// Scheduled deliberately out of key order.
+	e2.Schedule(Duration(at), mark("h2-a"))
+	k.At(at, mark("g-a"))
+	e0.Schedule(Duration(at), mark("h0-a"))
+	e2.Schedule(Duration(at), mark("h2-b"))
+	k.At(at, mark("g-b"))
+	e0.Schedule(Duration(at), mark("h0-b"))
+	k.RunUntilIdle()
+	want := []string{"g-a", "g-b", "h0-a", "h0-b", "h2-a", "h2-b"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("same-instant order = %v, want %v", log, want)
+	}
+}
+
+// TestTimerResetSameInstantIsFreshScheduling pins the contract that
+// Reset on a pending timer assigns a fresh counter, so a Reset
+// to the current instant fires after events already queued for that
+// instant — byte-for-byte the order a Stop + new AfterFunc produces.
+func TestTimerResetSameInstantIsFreshScheduling(t *testing.T) {
+	viaReset := func() []string {
+		k := New(3)
+		var log []string
+		tm := k.AfterFunc(0, func() { log = append(log, "T") })
+		k.After(0, func() { log = append(log, "A") })
+		tm.Reset(0) // re-stamp: T must now fire after A and before B
+		k.After(0, func() { log = append(log, "B") })
+		k.RunUntilIdle()
+		return log
+	}
+	viaStopStart := func() []string {
+		k := New(3)
+		var log []string
+		tm := k.AfterFunc(0, func() { log = append(log, "T") })
+		k.After(0, func() { log = append(log, "A") })
+		tm.Stop()
+		k.AfterFunc(0, func() { log = append(log, "T") })
+		k.After(0, func() { log = append(log, "B") })
+		k.RunUntilIdle()
+		return log
+	}
+	want := []string{"A", "T", "B"}
+	if got := viaReset(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Reset-to-now order = %v, want %v (fresh scheduling)", got, want)
+	}
+	if got := viaStopStart(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Stop+AfterFunc order = %v, want %v", got, want)
+	}
+}
+
+// TestTimerResetDifferentialAgainstStopStart runs a randomized mix of
+// Reset-in-place and Stop+reschedule under same-instant contention and
+// checks both strategies produce the same fire order — the differential
+// regression for the Reset-is-fresh-scheduling contract.
+func TestTimerResetDifferentialAgainstStopStart(t *testing.T) {
+	for trial := 0; trial < 40; trial++ {
+		seed := int64(500 + trial)
+		run := func(useReset bool) []string {
+			rng := rand.New(rand.NewSource(seed))
+			k := New(seed)
+			var log []string
+			type step struct {
+				d     Duration
+				plain bool
+			}
+			steps := make([]step, 30)
+			for i := range steps {
+				steps[i] = step{d: Duration(rng.Intn(3)), plain: rng.Intn(2) == 0}
+			}
+			tm := k.AfterFunc(1, func() { log = append(log, "tick") })
+			for i, s := range steps {
+				i := i
+				if s.plain {
+					k.After(s.d, func() { log = append(log, fmt.Sprintf("p%d", i)) })
+					continue
+				}
+				if useReset {
+					tm.Reset(s.d)
+				} else {
+					tm.Stop()
+					tm = k.AfterFunc(s.d, func() { log = append(log, "tick") })
+				}
+			}
+			k.RunUntilIdle()
+			return log
+		}
+		if a, b := run(true), run(false); !reflect.DeepEqual(a, b) {
+			t.Fatalf("seed %d: Reset order %v != Stop+AfterFunc order %v", seed, a, b)
+		}
 	}
 }
